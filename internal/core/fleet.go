@@ -17,10 +17,17 @@ import (
 // changes), so provisioning and the memoised latency surfaces are
 // shared across clones; the skew lives entirely in the arrival traces.
 //
-// The fleet is deterministic in (n, seed) and independent of shard
-// count; the sharded benchmarks and determinism tests build their
-// scenarios from it. It panics if n is not positive.
+// The traces follow one compressed 3600-s diurnal day. The fleet is
+// deterministic in (n, seed) and independent of shard count; the sharded
+// benchmarks and determinism tests build their scenarios from it. It
+// panics if n is not positive.
 func SyntheticFleet(n int, seed uint64) []ServiceSpec {
+	return syntheticFleet(n, seed, units.Seconds(3600))
+}
+
+// syntheticFleet is SyntheticFleet with the traces' diurnal day length
+// given. It panics if n is not positive.
+func syntheticFleet(n int, seed uint64, dayLength units.Seconds) []ServiceSpec {
 	if n < 1 {
 		panic(fmt.Sprintf("core: SyntheticFleet needs a positive service count, got %d", n))
 	}
@@ -31,7 +38,6 @@ func SyntheticFleet(n int, seed uint64) []ServiceSpec {
 		workload.DD(),
 		workload.CloudStor(),
 	}
-	const dayLength = 3600.0 // one compressed diurnal day, in seconds
 	specs := make([]ServiceSpec, 0, n)
 	for i := 0; i < n; i++ {
 		prof := archetypes[i%len(archetypes)]
@@ -44,7 +50,7 @@ func SyntheticFleet(n int, seed uint64) []ServiceSpec {
 		peak := prof.PeakQPS * jitter / float64(rank)
 		specs = append(specs, ServiceSpec{
 			Profile: prof,
-			Trace:   trace.NewDiurnal(peak, peak*0.25, dayLength, seed+uint64(i)),
+			Trace:   trace.NewDiurnal(peak, peak*0.25, dayLength.Raw(), seed+uint64(i)),
 		})
 	}
 	return specs
@@ -52,11 +58,12 @@ func SyntheticFleet(n int, seed uint64) []ServiceSpec {
 
 // FleetScenario wraps a SyntheticFleet into a runnable scenario with
 // the standard background tenants, for benchmarks and tests that need a
-// large fleet without hand-assembly.
+// large fleet without hand-assembly. The fleet and the tenants share one
+// diurnal day of the given duration.
 func FleetScenario(n int, seed uint64, duration units.Seconds) Scenario {
 	return Scenario{
 		Variant:    VariantAmoeba,
-		Services:   SyntheticFleet(n, seed),
+		Services:   syntheticFleet(n, seed, duration),
 		Background: BackgroundTenants(duration, seed),
 		Duration:   duration,
 		Seed:       seed,

@@ -11,6 +11,7 @@ import (
 	"amoeba/internal/obs"
 	"amoeba/internal/serverless"
 	"amoeba/internal/sim"
+	"amoeba/internal/trace"
 	"amoeba/internal/units"
 )
 
@@ -274,6 +275,30 @@ func TestSyntheticFleet(t *testing.T) {
 		}()
 		SyntheticFleet(0, 1)
 	}()
+}
+
+// TestFleetScenarioSharesOneDay pins that FleetScenario gives the fleet
+// traces the same diurnal day as the background tenants, while
+// SyntheticFleet keeps its 3600-s day.
+func TestFleetScenarioSharesOneDay(t *testing.T) {
+	dayOf := func(spec ServiceSpec) float64 {
+		d, ok := spec.Trace.(*trace.Diurnal)
+		if !ok {
+			t.Fatalf("%s: trace is %T, want *trace.Diurnal", spec.Profile.Name, spec.Trace)
+		}
+		return d.DayLength
+	}
+	sc := FleetScenario(12, 3, 600)
+	for _, spec := range append(sc.Services, sc.Background...) {
+		if got := dayOf(spec); got != 600 {
+			t.Errorf("%s: diurnal day %v s, want the scenario's 600 s", spec.Profile.Name, got)
+		}
+	}
+	for _, spec := range SyntheticFleet(12, 3) {
+		if got := dayOf(spec); got != 3600 {
+			t.Errorf("%s: SyntheticFleet day %v s, want 3600 s", spec.Profile.Name, got)
+		}
+	}
 }
 
 // TestSurfaceSetSharedAcrossRenamedClones pins the content-keyed memo:

@@ -1,6 +1,7 @@
 // Package serverless simulates the shared FaaS platform (the paper's
 // modified Apache OpenWhisk, §V): a memory-bounded pool of per-function
-// containers fed by a FIFO activation queue.
+// containers fed by per-function FIFO activation queues, dispatched in
+// global arrival order.
 //
 // Lifecycle per the paper's Fig. 7: an arriving query is enqueued; a ready
 // (warm) container picks it up, otherwise the platform cold-starts a new
@@ -59,9 +60,10 @@ type Config struct {
 	// itself; containers may use the rest.
 	MemReserve units.Fraction
 
-	// MaxQueue bounds the shared activation queue (0 = unbounded). Public
-	// platforms impose such a cap — the §I "concurrent request
-	// threshold"; arrivals beyond it are rejected and counted.
+	// MaxQueue bounds the waiting activations summed over all functions
+	// (0 = unbounded). Public platforms impose such a cap — the §I
+	// "concurrent request threshold"; arrivals beyond it are rejected and
+	// counted.
 	MaxQueue int
 }
 
@@ -139,6 +141,8 @@ type container struct {
 type activation struct {
 	fn      *function
 	arrived sim.Time
+	seq     uint64         // global arrival order, stamped at Invoke
+	next    *activation    // next waiting activation of the same function
 	qt      obs.QueryTrace // trace context opened at Invoke
 	queueH  obs.SpanHandle // open queue-wait phase span
 }
@@ -155,6 +159,11 @@ type function struct {
 	warming    int // containers currently prewarming toward the floor
 	onComplete func(metrics.QueryRecord)
 	onReject   func()
+	// head and tail delimit the function's intrusive FIFO of waiting
+	// activations; blocked is the pump generation in which its head last
+	// failed to place.
+	head, tail *activation
+	blocked    uint64
 	idle       []*container
 	containers int // live containers (any state)
 	usage      *resources.Usage
@@ -171,11 +180,14 @@ type Platform struct {
 	bus    *obs.Bus
 	tracer *obs.Tracer
 	fns    map[string]*function
+	order  []*function // registration order: dispatch and eviction scan this
 	// coldMu and coldSigma are the lognormal parameters of the cold-start
 	// delay, precomputed once at New from the validated config.
 	coldMu    float64
 	coldSigma float64
-	queue     []*activation
+	queued    int              // waiting activations across all functions
+	arrivals  uint64           // next activation seq
+	pumpGen   uint64           // generation of the running pump
 	actFree   []*activation    // recycled activations (steady state allocates none)
 	demand    resources.Vector // aggregate demand of running bodies
 	memMB     float64          // memory allocated by live containers
@@ -290,6 +302,7 @@ func (p *Platform) Register(profile workload.Profile, onComplete func(metrics.Qu
 		opt(f)
 	}
 	p.fns[profile.Name] = f
+	p.order = append(p.order, f)
 	if f.minWarm > 0 {
 		p.sim.After(0, func() { p.replenish(f) })
 	}
@@ -313,7 +326,7 @@ func (p *Platform) mustFn(name string) *function {
 // activation queue is bounded and full, the invocation is rejected.
 func (p *Platform) Invoke(name string) {
 	f := p.mustFn(name)
-	if p.cfg.MaxQueue > 0 && len(p.queue) >= p.cfg.MaxQueue {
+	if p.cfg.MaxQueue > 0 && p.queued >= p.cfg.MaxQueue {
 		f.rejected++
 		if f.onReject != nil {
 			f.onReject()
@@ -325,7 +338,15 @@ func (p *Platform) Invoke(name string) {
 	act.qt = p.tracer.StartQuery(name)
 	act.queueH = p.tracer.Begin(units.Seconds(act.arrived), act.qt.Trace, act.qt.Span, 0,
 		obs.PhaseQueueWait, name, metrics.BackendServerless.String())
-	p.queue = append(p.queue, act)
+	act.seq = p.arrivals
+	p.arrivals++
+	if f.tail == nil {
+		f.head = act
+	} else {
+		f.tail.next = act
+	}
+	f.tail = act
+	p.queued++
 	p.pump()
 }
 
@@ -345,21 +366,51 @@ func (p *Platform) takeActivation(f *function) *activation {
 // needs out of it.
 func (p *Platform) putActivation(act *activation) {
 	act.fn = nil
+	act.next = nil
 	act.qt = obs.QueryTrace{}
 	act.queueH = obs.SpanHandle{}
 	p.actFree = append(p.actFree, act)
 }
 
-// pump scans the FIFO queue in arrival order, placing every activation
-// that can be placed right now.
+// pump places every waiting activation that can be placed right now, in
+// global arrival order: each round pops the head with the smallest seq
+// among the functions not yet blocked in this pump. A head that fails to
+// place blocks its function until the pump returns. Nothing a pump does
+// gives that function an idle container, lowers its container count or
+// frees memory net of the container it starts, so every later
+// activation of the function would fail too. The rounds therefore make
+// exactly the placements an arrival-order scan of one shared queue
+// would, at O(functions) per round instead of O(queue).
+//
+//amoeba:noalloc
 func (p *Platform) pump() {
-	remaining := p.queue[:0]
-	for _, act := range p.queue {
-		if !p.place(act) {
-			remaining = append(remaining, act)
-		}
+	if p.queued == 0 {
+		return
 	}
-	p.queue = remaining
+	p.pumpGen++
+	for {
+		var f *function
+		for _, g := range p.order {
+			if g.head != nil && g.blocked != p.pumpGen && (f == nil || g.head.seq < f.head.seq) {
+				f = g
+			}
+		}
+		if f == nil {
+			return
+		}
+		// place never touches a queue, but a placed activation may be
+		// recycled before it returns: read the link first.
+		act, next := f.head, f.head.next
+		if !p.place(act) {
+			f.blocked = p.pumpGen
+			continue
+		}
+		f.head = next
+		if next == nil {
+			f.tail = nil
+		}
+		p.queued--
+	}
 }
 
 // place tries to run or bind the activation; reports success.
@@ -428,11 +479,12 @@ func (p *Platform) memAvailable() bool {
 }
 
 // evictIdle destroys the longest-idle warm container belonging to any
-// *other* function; reports whether one was found. Functions holding a
-// warm-pool floor keep it: eviction never digs below minWarm.
+// *other* function; reports whether one was found. A tie in idle time
+// goes to the function registered first. Functions holding a warm-pool
+// floor keep it: eviction never digs below minWarm.
 func (p *Platform) evictIdle(requester *function) bool {
 	var victim *container
-	for _, f := range p.fns {
+	for _, f := range p.order {
 		if f == requester || len(f.idle) <= f.minWarm {
 			continue
 		}
@@ -752,7 +804,7 @@ func (p *Platform) Pressure() contention.Pressure {
 func (p *Platform) DemandNow() resources.Vector { return p.demand }
 
 // QueueLength returns the number of waiting activations.
-func (p *Platform) QueueLength() int { return len(p.queue) }
+func (p *Platform) QueueLength() int { return p.queued }
 
 // Containers returns the live container count for the named function.
 func (p *Platform) Containers(name string) int { return p.mustFn(name).containers }

@@ -406,3 +406,39 @@ func TestZeroAllocSampleColdStart(t *testing.T) {
 		t.Errorf("sampleColdStart allocates %.2f objects per call, want 0", allocs)
 	}
 }
+
+// TestZeroAllocBacklogDispatch asserts that draining a warm backlog
+// allocates nothing once the activation pool and kernel slab are sized:
+// every run queues a burst behind two busy containers per function, and
+// each completion's pump pops the oldest head across the functions and
+// places it on the container that just went idle.
+//
+//amoeba:alloctest serverless.Platform.pump
+func TestZeroAllocBacklogDispatch(t *testing.T) {
+	s, p := newPlatform(12)
+	names := []string{"float", "dd", "matmul"}
+	for _, prof := range []workload.Profile{workload.Float(), workload.DD(), workload.Matmul()} {
+		p.Register(prof, nil, WithNMax(2))
+	}
+	burst := func() {
+		for i := 0; i < 30; i++ {
+			p.Invoke(names[i%len(names)])
+		}
+		s.Run(s.Now() + 20) // well inside the idle timeout
+	}
+	burst() // cold-start the containers and size the pools
+	if p.QueueLength() != 0 {
+		t.Fatalf("%d activations left after the warm-up drain", p.QueueLength())
+	}
+	cold := p.ColdStarts()
+	allocs := testing.AllocsPerRun(50, burst)
+	if allocs != 0 {
+		t.Errorf("draining a warm backlog allocates %.2f objects per run, want 0", allocs)
+	}
+	if p.ColdStarts() != cold {
+		t.Errorf("%d cold starts during warm drains", p.ColdStarts()-cold)
+	}
+	if p.QueueLength() != 0 {
+		t.Errorf("%d activations left queued", p.QueueLength())
+	}
+}
