@@ -122,26 +122,51 @@ func TestNilCallbackPanics(t *testing.T) {
 	New(s, trace.Constant{QPS: 1}, nil)
 }
 
-// TestZeroAllocFire asserts the steady-state thinning loop — accept
-// test, arrival callback, self-reschedule through the one bound fire
-// method — allocates nothing once the kernel's slab is warm.
-//
-//amoeba:alloctest arrival.Generator.fire
-func TestZeroAllocFire(t *testing.T) {
-	s := sim.New(6)
-	g := New(s, trace.Constant{QPS: 200}, func(sim.Time) {})
-	g.Start()
-	s.Run(50) // warm: slab, free list and heap at steady-state capacity
+// onOff is a 10-s square wave between 200 QPS and zero: its zero halves
+// reject far more than maxSkip candidates in a row.
+type onOff struct{}
 
-	horizon := s.Now()
-	allocs := testing.AllocsPerRun(100, func() {
-		horizon += 5
-		s.Run(horizon)
-	})
-	if allocs != 0 {
-		t.Errorf("arrival candidates allocate %.3f objects per 5s batch, want 0", allocs)
+func (onOff) Rate(t float64) float64 {
+	if math.Mod(t, 10) < 5 {
+		return 200
 	}
-	if g.Count() == 0 {
-		t.Fatal("generator produced no arrivals")
+	return 0
+}
+func (onOff) Peak() float64 { return 200 }
+
+// TestZeroAllocFire asserts the steady-state thinning loop allocates
+// nothing once the kernel's slab is warm: accept tests with and without
+// an envelope, arrival delivery, the draw-ahead through rejections and
+// the checkpoints a zero-rate stretch leaves.
+//
+//amoeba:alloctest arrival.Generator.fire arrival.Generator.advance
+//amoeba:alloctest arrival.Generator.accept arrival.Generator.skip
+//amoeba:alloctest trace.Envelope.Bounds
+func TestZeroAllocFire(t *testing.T) {
+	for _, tr := range []trace.Trace{
+		trace.Constant{QPS: 200},
+		trace.NewDiurnal(200, 40, 100, 6),
+		onOff{},
+	} {
+		s := sim.New(6)
+		g := New(s, tr, func(sim.Time) {})
+		g.Start()
+		s.Run(50) // warm: slab, free list and heap at steady-state capacity
+
+		horizon := s.Now()
+		events, arrivals := s.Events(), g.Count()
+		allocs := testing.AllocsPerRun(100, func() {
+			horizon += 5
+			s.Run(horizon)
+		})
+		if allocs != 0 {
+			t.Errorf("%T: arrival candidates allocate %.3f objects per 5s batch, want 0", tr, allocs)
+		}
+		if g.Count() == 0 {
+			t.Fatalf("%T: generator produced no arrivals", tr)
+		}
+		if _, zero := tr.(onOff); zero && s.Events()-events <= g.Count()-arrivals {
+			t.Fatalf("%T: no checkpoints fired", tr)
+		}
 	}
 }

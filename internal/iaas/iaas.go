@@ -83,12 +83,42 @@ type service struct {
 	vms        int // VM count in the group
 	slots      int // total worker slots (vms × VMCores)
 	busy       int
-	queue      []pending // waiting queries in arrival order
+	queue      []pending // waiting queries in arrival order from head on
+	head       int       // index of the oldest waiting query in queue
 	running    bool      // VMs up and taking traffic
 	inflight   int
 	usage      *resources.Usage // allocated (rented) resources
 	busyUsage  *resources.Usage // consumed CPU: demand of executing queries
 	onComplete func(metrics.QueryRecord)
+	// lnMu and lnSigma are the lognormal parameters of the profile's
+	// execution time, derived once at deploy.
+	lnMu, lnSigma float64
+}
+
+// waiting returns the number of queued queries.
+func (svc *service) waiting() int { return len(svc.queue) - svc.head }
+
+// enqueue appends a waiting query. When the backing array is full it
+// first slides the waiting queries down over the dispatched ones, so the
+// array is reused rather than regrown while a backlog persists.
+func (svc *service) enqueue(q pending) {
+	if svc.head > 0 && len(svc.queue) == cap(svc.queue) {
+		svc.queue = svc.queue[:copy(svc.queue, svc.queue[svc.head:])]
+		svc.head = 0
+	}
+	svc.queue = append(svc.queue, q)
+}
+
+// dequeue removes and returns the oldest waiting query; the caller
+// checks waiting() first.
+func (svc *service) dequeue() pending {
+	q := svc.queue[svc.head]
+	svc.head++
+	if svc.head == len(svc.queue) {
+		svc.queue = svc.queue[:0]
+		svc.head = 0
+	}
+	return q
 }
 
 // Platform hosts per-service VM groups.
@@ -168,8 +198,11 @@ func (p *Platform) DeployWithVMs(profile workload.Profile, vms int, onComplete f
 	if _, dup := p.services[profile.Name]; dup {
 		panic(fmt.Sprintf("iaas: duplicate service %q", profile.Name))
 	}
+	mu, sigma := lognormalParams(profile.ExecTime, profile.ExecCV)
 	svc := &service{
 		profile:    profile,
+		lnMu:       mu,
+		lnSigma:    sigma,
 		vms:        vms,
 		slots:      vms * profile.VMCores,
 		usage:      resources.NewUsage(float64(p.sim.Now())),
@@ -218,7 +251,7 @@ func (p *Platform) Invoke(name string) {
 	if svc.busy < svc.slots {
 		p.startQuery(svc, q)
 	} else {
-		svc.queue = append(svc.queue, q)
+		svc.enqueue(q)
 	}
 }
 
@@ -226,8 +259,7 @@ func (p *Platform) startQuery(svc *service, q pending) {
 	svc.busy++
 	prof := svc.profile
 	arrived := q.arrived
-	mu, sigma := lognormalParams(prof.ExecTime, prof.ExecCV)
-	body := p.rng.LogNormal(mu, sigma)
+	body := p.rng.LogNormal(svc.lnMu, svc.lnSigma)
 	bd := metrics.Breakdown{
 		Queue:      float64(p.sim.Now() - arrived),
 		Processing: p.cfg.RPCOverhead,
@@ -270,10 +302,8 @@ func (p *Platform) startQuery(svc *service, q pending) {
 		}
 		// After a scale-in, busy can exceed slots until the excess
 		// drains; only then does the queue resume.
-		if len(svc.queue) > 0 && svc.busy < svc.slots {
-			next := svc.queue[0]
-			svc.queue = svc.queue[1:]
-			p.startQuery(svc, next)
+		if svc.waiting() > 0 && svc.busy < svc.slots {
+			p.startQuery(svc, svc.dequeue())
 		}
 	})
 }
@@ -300,10 +330,8 @@ func (p *Platform) Scale(name string, vms int, onReady func()) {
 		p.sim.After(p.cfg.BootDelay, func() {
 			svc.slots = svc.vms * svc.profile.VMCores
 			// Newly online workers drain any backlog.
-			for len(svc.queue) > 0 && svc.busy < svc.slots {
-				next := svc.queue[0]
-				svc.queue = svc.queue[1:]
-				p.startQuery(svc, next)
+			for svc.waiting() > 0 && svc.busy < svc.slots {
+				p.startQuery(svc, svc.dequeue())
 			}
 			if onReady != nil {
 				onReady()
@@ -378,7 +406,7 @@ func (p *Platform) VMs(name string) int { return p.mustSvc(name).vms }
 func (p *Platform) Busy(name string) int { return p.mustSvc(name).busy }
 
 // QueueLength returns the waiting queries of the service.
-func (p *Platform) QueueLength(name string) int { return len(p.mustSvc(name).queue) }
+func (p *Platform) QueueLength(name string) int { return p.mustSvc(name).waiting() }
 
 // Inflight returns submitted-but-incomplete queries of the service.
 func (p *Platform) Inflight(name string) int { return p.mustSvc(name).inflight }

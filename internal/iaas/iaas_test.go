@@ -2,6 +2,7 @@ package iaas
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"amoeba/internal/arrival"
@@ -245,5 +246,66 @@ func TestVMGroupGeometry(t *testing.T) {
 	}
 	if alloc := p.AllocFor(prof.Name); alloc.MemMB != float64(vms)*prof.VMMemMB {
 		t.Errorf("mem alloc %v, want %v", alloc.MemMB, float64(vms)*prof.VMMemMB)
+	}
+}
+
+// TestBacklogFIFOReusesQueueArray holds a standing backlog of 20 queries
+// for thousands of dispatches: queries must start in arrival order, and
+// the head-indexed queue must keep reusing one small backing array.
+func TestBacklogFIFOReusesQueueArray(t *testing.T) {
+	s, p := newPlatform(9)
+	prof := workload.Float()
+	const backlog, total = 20, 5000
+	var recs []metrics.QueryRecord
+	invoked := 0
+	invoke := func() {
+		if invoked < total {
+			invoked++
+			p.Invoke(prof.Name)
+		}
+	}
+	p.DeployWithVMs(prof, 1, func(r metrics.QueryRecord) {
+		recs = append(recs, r)
+		s.After(0.001, invoke) // closed loop: each completion refills the backlog
+	})
+	slots := p.Slots(prof.Name)
+	maxCap, minQ := 0, backlog
+	var stop func()
+	s.At(1, func() {
+		for range slots + backlog {
+			invoke()
+		}
+		stop = s.Every(0.5, func() {
+			maxCap = max(maxCap, cap(p.services[prof.Name].queue))
+			if invoked < total {
+				minQ = min(minQ, p.QueueLength(prof.Name))
+			}
+		})
+	})
+	s.Run(1e5)
+	stop()
+	if len(recs) != total {
+		t.Fatalf("completed %d of %d queries", len(recs), total)
+	}
+	if q := p.QueueLength(prof.Name); q != 0 {
+		t.Errorf("QueueLength = %d after the backlog drained", q)
+	}
+	if minQ < backlog-1 {
+		t.Errorf("backlog fell to %d while the loop was running, want ~%d", minQ, backlog)
+	}
+	if maxCap > 4*backlog {
+		t.Errorf("queue backing array grew to %d for a backlog of %d", maxCap, backlog)
+	}
+	start := func(r metrics.QueryRecord) float64 { return r.ArrivedAt + r.Breakdown.Queue }
+	sort.Slice(recs, func(i, j int) bool {
+		if recs[i].ArrivedAt != recs[j].ArrivedAt {
+			return recs[i].ArrivedAt < recs[j].ArrivedAt
+		}
+		return start(recs[i]) < start(recs[j])
+	})
+	for i := 1; i < len(recs); i++ {
+		if cur, prev := start(recs[i]), start(recs[i-1]); cur < prev {
+			t.Fatalf("query %d started at %v, before earlier arrival's start %v", i, cur, prev)
+		}
 	}
 }

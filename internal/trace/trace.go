@@ -61,7 +61,19 @@ type Diurnal struct {
 	// noise is a fixed random phase table so the trace stays
 	// deterministic for a given seed.
 	noise []float64
+	// env brackets Rate for the parameters in envKey; NewDiurnal builds
+	// it once, so concurrent readers never race on it.
+	env    *Envelope
+	envKey diurnalParams
 }
+
+// Widths of the morning and evening rush-hour bumps, and the number of
+// terms in the noise series, as day fractions and counts.
+const (
+	morningWidth = 0.06
+	eveningWidth = 0.07
+	noiseTerms   = 6
+)
 
 // NewDiurnal builds a Didi-shaped daily trace. dayLength is the virtual
 // duration of one day; seed fixes the noise. It panics on a non-positive
@@ -86,6 +98,7 @@ func NewDiurnal(peakQPS, troughQPS, dayLength float64, seed uint64) *Diurnal {
 	for i := range d.noise {
 		d.noise[i] = rng.Uniform(0, 2*math.Pi)
 	}
+	d.buildEnvelope()
 	return d
 }
 
@@ -95,25 +108,19 @@ func (d *Diurnal) Rate(t float64) float64 {
 	if x < 0 {
 		x += 1
 	}
+	return d.rateAt(x)
+}
+
+// rateAt evaluates the diurnal curve at day fraction x in [0, 1].
+func (d *Diurnal) rateAt(x float64) float64 {
 	// Two Gaussian bumps over a cosine base that bottoms out at night.
 	base := 0.5 - 0.5*math.Cos(2*math.Pi*x) // 0 at midnight, 1 at noon
-	bump := func(center, width float64) float64 {
-		dx := x - center
-		// wrap-around distance
-		if dx > 0.5 {
-			dx -= 1
-		}
-		if dx < -0.5 {
-			dx += 1
-		}
-		return math.Exp(-dx * dx / (2 * width * width))
-	}
-	shape := 0.55*base + 0.45*math.Max(bump(d.MorningPeak, 0.06), bump(d.EveningPeak, 0.07))
+	shape := 0.55*base + 0.45*math.Max(bump(x, d.MorningPeak, morningWidth), bump(x, d.EveningPeak, eveningWidth))
 
 	// Deterministic multiplicative noise from a small Fourier series.
 	noise := 0.0
 	if d.NoiseAmp > 0 && len(d.noise) > 0 {
-		for i := 1; i <= 6; i++ {
+		for i := 1; i <= noiseTerms; i++ {
 			noise += math.Sin(2*math.Pi*float64(i*3)*x+d.noise[i]) / float64(i)
 		}
 		noise *= d.NoiseAmp / 2
@@ -125,6 +132,19 @@ func (d *Diurnal) Rate(t float64) float64 {
 		rate = 0
 	}
 	return rate
+}
+
+// bump is a Gaussian of the given width centred on a day fraction,
+// measured by wrap-around distance.
+func bump(x, center, width float64) float64 {
+	dx := x - center
+	if dx > 0.5 {
+		dx -= 1
+	}
+	if dx < -0.5 {
+		dx += 1
+	}
+	return math.Exp(-dx * dx / (2 * width * width))
 }
 
 // Peak returns a safe upper bound on the rate.
