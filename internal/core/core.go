@@ -14,15 +14,11 @@ package core
 import (
 	"fmt"
 
-	"amoeba/internal/arrival"
-	"amoeba/internal/autoscale"
 	"amoeba/internal/controller"
-	"amoeba/internal/engine"
 	"amoeba/internal/iaas"
 	"amoeba/internal/metrics"
 	"amoeba/internal/monitor"
 	"amoeba/internal/obs"
-	"amoeba/internal/queueing"
 	"amoeba/internal/resources"
 	"amoeba/internal/serverless"
 	"amoeba/internal/sim"
@@ -188,171 +184,38 @@ func Run(sc Scenario) *Result {
 	if err := sc.Validate(); err != nil {
 		panic(err)
 	}
-	s := sim.New(sc.Seed ^ 0x5eed)
 	slCfg := sc.serverlessConfig()
-	pool := serverless.New(s, slCfg)
-	vms := iaas.New(s, sc.iaasConfig())
+	c := &cell{sim: sim.New(sc.Seed ^ 0x5eed)}
+	c.pool = serverless.New(c.sim, slCfg)
+	c.vms = iaas.New(c.sim, sc.iaasConfig())
 	// One tracer per run: trace/span IDs are dense counters, so two runs
 	// of the same seed produce byte-identical trace streams even when a
 	// sweep executes runs in parallel.
-	var tracer *obs.Tracer
 	if sc.Bus != nil {
-		tracer = obs.NewTracer(sc.Bus)
-		pool.SetBus(sc.Bus)
-		pool.SetTracer(tracer)
-		vms.SetBus(sc.Bus)
-		vms.SetTracer(tracer)
+		c.attach(sc.Bus, obs.NewTracer(sc.Bus))
 	}
 
-	res := &Result{
-		Variant:    sc.Variant,
-		Duration:   sc.Duration,
-		Services:   make(map[string]*ServiceResult),
-		Background: make(map[string]*metrics.Collector),
-	}
-
-	// Background tenants always run serverless (the paper's §VII-A
-	// setup). They are not Amoeba-managed, so the per-tenant share bound
-	// does not apply to them — give them room to breathe.
+	res := newResult(&sc)
 	for _, bg := range sc.Background {
-		coll := metrics.NewCollector(bg.Profile.Name, bg.Profile.QoSTarget)
-		res.Background[bg.Profile.Name] = coll
-		pool.Register(bg.Profile, coll.Observe, serverless.WithNMax(64))
-		gen := arrival.New(s, bg.Trace, invoker(pool, bg.Profile.Name))
-		gen.Start()
+		res.Background[bg.Profile.Name] = c.wireBackground(bg)
+	}
+	if sc.Variant.amoebaLike() {
+		c.startMonitor(slCfg, monitorConfig(sc.Variant))
+	}
+	wired := make([]*service, len(sc.Services))
+	for i, svc := range sc.Services {
+		wired[i] = c.wireService(&sc, slCfg, svc)
 	}
 
-	var mon *monitor.Monitor
-	amoebaLike := sc.Variant == VariantAmoeba || sc.Variant == VariantAmoebaNoM || sc.Variant == VariantAmoebaNoP
-	if amoebaLike {
-		monCfg := monitor.DefaultConfig()
-		monCfg.UsePCA = sc.Variant != VariantAmoebaNoM
-		mon = monitor.New(s, pool, MeterCurves(slCfg), monCfg)
-		if sc.Bus != nil {
-			mon.SetBus(sc.Bus)
-			mon.SetTracer(tracer)
-		}
-		mon.Start()
+	c.sim.Run(sim.Time(sc.Duration.Raw()))
+
+	for _, w := range wired {
+		res.Services[w.prof.Name] = c.collect(sc.Variant, w)
 	}
-
-	type wiring struct {
-		eng  *engine.Engine
-		coll *metrics.Collector
+	if c.mon != nil {
+		res.MeterCPUSeconds = c.mon.MeterCPUSeconds()
 	}
-	wired := map[string]*wiring{}
-
-	for _, svc := range sc.Services {
-		prof := svc.Profile
-		switch sc.Variant {
-		case VariantNameko:
-			coll := metrics.NewCollector(prof.Name, prof.QoSTarget)
-			wired[prof.Name] = &wiring{coll: coll}
-			vms.Deploy(prof, coll.Observe)
-			gen := arrival.New(s, svc.Trace, invoker(vms, prof.Name))
-			gen.Start()
-
-		case VariantOpenWhisk:
-			coll := metrics.NewCollector(prof.Name, prof.QoSTarget)
-			wired[prof.Name] = &wiring{coll: coll}
-			pool.Register(prof, coll.Observe)
-			gen := arrival.New(s, svc.Trace, invoker(pool, prof.Name))
-			gen.Start()
-
-		case VariantAutoscale:
-			coll := metrics.NewCollector(prof.Name, prof.QoSTarget)
-			wired[prof.Name] = &wiring{coll: coll}
-			asCfg := autoscale.DefaultConfig()
-			vms.DeployWithVMs(prof, asCfg.MinVMs, coll.Observe)
-			scaler := autoscale.New(s, vms, prof, asCfg)
-			scaler.Start()
-			gen := arrival.New(s, svc.Trace, invoker(vms, prof.Name))
-			gen.Start()
-
-		default: // the Amoeba variants
-			w := &wiring{}
-			wired[prof.Name] = w
-			// Register the primary function; the engine exists a moment
-			// later, so indirect through the wiring struct.
-			pool.Register(prof, func(r metrics.QueryRecord) {
-				w.eng.OnServerlessComplete(r)
-			})
-			vms.Deploy(prof, func(r metrics.QueryRecord) {
-				w.eng.OnIaaSComplete(r)
-			})
-
-			set := SurfaceSet(prof, slCfg)
-			pred, err := controller.NewPredictor(prof, set, pool.NMax(prof.Name), units.Fraction(0.95))
-			if err != nil {
-				panic(err) // scenario validation already vouched for these inputs
-			}
-			ctrl, err := controller.New(controller.DefaultConfig(), pred)
-			if err != nil {
-				panic(err) // DefaultConfig is always valid
-			}
-
-			engCfg := engine.DefaultConfig(slCfg.Node.Capacity())
-			engCfg.SamplePeriod, err = queueing.SamplePeriod(
-				slCfg.ColdStartMean, units.Seconds(prof.QoSTarget),
-				units.Seconds(prof.ExecTime), sc.allowedError(), units.Seconds(10))
-			if err != nil {
-				panic(err) // scenario validation bounds the QoS target and error
-			}
-			engCfg.Prewarm = sc.Variant != VariantAmoebaNoP
-			w.eng = engine.New(s, pool, vms, prof, ctrl, mon, engCfg)
-			if sc.Bus != nil {
-				w.eng.SetBus(sc.Bus)
-				w.eng.SetTracer(tracer)
-				ctrl.SetTracer(tracer)
-			}
-			w.coll = w.eng.Collector
-			w.eng.Start()
-
-			gen := arrival.New(s, svc.Trace, func(sim.Time) { w.eng.HandleQuery() })
-			gen.Start()
-
-			if sc.SnapshotPeriod > 0 {
-				eng := w.eng
-				s.Every(sc.SnapshotPeriod.Raw(), func() {
-					eng.Timeline.RecordSnapshot(metrics.Snapshot{
-						At:   float64(s.Now()),
-						Mode: eng.Mode(),
-					})
-				})
-			}
-		}
-	}
-
-	s.Run(sim.Time(sc.Duration.Raw()))
-
-	for _, svc := range sc.Services {
-		prof := svc.Profile
-		w := wired[prof.Name]
-		sr := &ServiceResult{Profile: prof, Collector: w.coll, FinalWeights: monitor.InitialWeights()}
-		switch sc.Variant {
-		case VariantNameko, VariantAutoscale:
-			sr.IaaSUsage = vms.UsageFor(prof.Name)
-			sr.ConsumedCPUSeconds = vms.ConsumedCPUSeconds(prof.Name)
-			sr.Timeline = &metrics.Timeline{}
-		case VariantOpenWhisk:
-			sr.ServerlessUsage = pool.UsageFor(prof.Name)
-			sr.Timeline = &metrics.Timeline{}
-		default:
-			sr.IaaSUsage = vms.UsageFor(prof.Name)
-			sr.ConsumedCPUSeconds = vms.ConsumedCPUSeconds(prof.Name)
-			sr.ServerlessUsage = pool.UsageFor(prof.Name)
-			sr.ServerlessUsage = sr.ServerlessUsage.Add(pool.UsageFor(prof.Name + engine.ShadowSuffix))
-			sr.Timeline = w.eng.Timeline
-			sr.Decisions = w.eng.Controller().Decisions()
-			sr.BlockedSwitches = w.eng.BlockedSwitches()
-			sr.FinalWeights = mon.WeightsFor(prof.Name)
-			sr.ViolationWindows = w.eng.Windowed.Windows(float64(s.Now()))
-		}
-		res.Services[prof.Name] = sr
-	}
-	if mon != nil {
-		res.MeterCPUSeconds = mon.MeterCPUSeconds()
-	}
-	res.Events = s.Events()
+	res.Events = c.sim.Events()
 	return res
 }
 

@@ -69,8 +69,6 @@ type Collector struct {
 	QoSTarget float64
 
 	latencies  *stats.Sample
-	normalized *stats.Sample // latency / QoSTarget, Fig. 10's x-axis
-	streamP95  *stats.P2Quantile
 	violations int
 	byBackend  map[Backend]int
 	breakdown  Breakdown // summed, for Fig. 4 means
@@ -83,12 +81,10 @@ func NewCollector(service string, qosTarget float64) *Collector {
 		panic(fmt.Sprintf("metrics: non-positive QoS target %v", qosTarget))
 	}
 	return &Collector{
-		Service:    service,
-		QoSTarget:  qosTarget,
-		latencies:  stats.NewSample(4096),
-		normalized: stats.NewSample(4096),
-		streamP95:  stats.NewP2Quantile(0.95),
-		byBackend:  make(map[Backend]int),
+		Service:   service,
+		QoSTarget: qosTarget,
+		latencies: stats.NewSample(4096),
+		byBackend: make(map[Backend]int),
 	}
 }
 
@@ -96,8 +92,6 @@ func NewCollector(service string, qosTarget float64) *Collector {
 func (c *Collector) Observe(r QueryRecord) {
 	l := r.Latency()
 	c.latencies.Add(l)
-	c.normalized.Add(l / c.QoSTarget)
-	c.streamP95.Add(l)
 	if l > c.QoSTarget {
 		c.violations++
 	}
@@ -118,12 +112,6 @@ func (c *Collector) Count() int { return c.latencies.Len() }
 // quantiles keep the full sample; figures (Fig. 10 CDFs) depend on that.
 func (c *Collector) P95() float64 { return c.latencies.P95() }
 
-// StreamingP95 returns the P² estimate of the 95%-ile, maintained in
-// O(1) per observation. Monitors that poll the p95 while a simulation is
-// running use this so the hot path never sorts; the divergence from the
-// exact quantile is bounded by TestStreamingP95TracksExact.
-func (c *Collector) StreamingP95() float64 { return c.streamP95.Value() }
-
 // QoSMet reports whether the 95%-ile latency is within the target.
 func (c *Collector) QoSMet() bool { return c.P95() <= c.QoSTarget }
 
@@ -141,7 +129,7 @@ func (c *Collector) Latencies() *stats.Sample { return c.latencies }
 
 // NormalizedCDF returns the CDF of latency/QoSTarget at n points
 // (Fig. 10).
-func (c *Collector) NormalizedCDF(n int) (xs, fs []float64) { return c.normalized.CDF(n) }
+func (c *Collector) NormalizedCDF(n int) (xs, fs []float64) { return c.latencies.CDF(n, c.QoSTarget) }
 
 // BackendCount returns how many queries the given backend served.
 func (c *Collector) BackendCount(b Backend) int { return c.byBackend[b] }

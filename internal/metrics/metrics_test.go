@@ -2,7 +2,10 @@ package metrics
 
 import (
 	"math"
+	"math/rand"
 	"testing"
+
+	"amoeba/internal/stats"
 )
 
 func rec(service string, b Backend, bd Breakdown) QueryRecord {
@@ -75,6 +78,52 @@ func TestCollectorNormalizedCDF(t *testing.T) {
 	}
 	if fs[len(fs)-1] != 1 {
 		t.Errorf("CDF endpoint %v", fs[len(fs)-1])
+	}
+}
+
+// twoSampleCDF is the normalized CDF as computed from a second sample
+// holding latency/QoSTarget per observation: FractionBelow at n evenly
+// spaced points between that sample's min and max.
+func twoSampleCDF(norm *stats.Sample, n int) (xs, fs []float64) {
+	lo, hi := norm.Min(), norm.Max()
+	for i := 0; i < n; i++ {
+		x := lo + (hi-lo)*float64(i)/float64(n-1)
+		xs = append(xs, x)
+		fs = append(fs, norm.FractionBelow(x))
+	}
+	return xs, fs
+}
+
+// TestNormalizedCDFMatchesTwoSampleCDF checks NormalizedCDF, which
+// divides the one latency sample on the fly, bit for bit against the
+// two-sample CDF over random samples with ties and several targets.
+func TestNormalizedCDFMatchesTwoSampleCDF(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	targets := []float64{0.1, 1.0 / 3, 0.7, 2.0, 7.7}
+	for trial := 0; trial < 500; trial++ {
+		c := NewCollector("svc", targets[trial%len(targets)])
+		norm := stats.NewSample(0)
+		size := 1 + rng.Intn(120)
+		for i := 0; i < size; i++ {
+			l := 0.1 * math.Exp(0.5*rng.NormFloat64())
+			if rng.Intn(3) == 0 {
+				l = float64(rng.Intn(8)) * 0.013 // ties, zero included
+			}
+			r := record(l)
+			c.Observe(r)
+			norm.Add(r.Latency() / c.QoSTarget)
+		}
+		for _, n := range []int{2, 10, 40, 101} {
+			xs, fs := c.NormalizedCDF(n)
+			wantXs, wantFs := twoSampleCDF(norm, n)
+			for i := range wantXs {
+				if math.Float64bits(xs[i]) != math.Float64bits(wantXs[i]) ||
+					math.Float64bits(fs[i]) != math.Float64bits(wantFs[i]) {
+					t.Fatalf("trial %d n=%d point %d: (%v, %v), two-sample CDF gives (%v, %v)",
+						trial, n, i, xs[i], fs[i], wantXs[i], wantFs[i])
+				}
+			}
+		}
 	}
 }
 

@@ -1,58 +1,9 @@
 package metrics
 
-import (
-	"math"
-	"math/rand"
-	"testing"
-)
+import "testing"
 
 func record(latency float64) QueryRecord {
 	return QueryRecord{Service: "svc", Breakdown: Breakdown{Exec: latency}}
-}
-
-// TestStreamingP95TracksExact bounds the divergence between the
-// collector's P² streaming p95 and the exact sample quantile on
-// latency-shaped (log-normal) data. The bound is what the engine relies
-// on when it polls StreamingP95 instead of sorting the full sample.
-func TestStreamingP95TracksExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	c := NewCollector("svc", 1.0)
-	for i := 0; i < 50000; i++ {
-		// Log-normal body times: median 100ms, sigma 0.5 — the shape the
-		// workload profiles use.
-		l := 0.1 * math.Exp(0.5*rng.NormFloat64())
-		c.Observe(record(l))
-	}
-	exact := c.P95()
-	stream := c.StreamingP95()
-	if math.IsNaN(stream) {
-		t.Fatal("StreamingP95 returned NaN after 50000 observations")
-	}
-	rel := math.Abs(stream-exact) / exact
-	if rel > 0.05 {
-		t.Errorf("streaming p95 %v diverges from exact %v by %.2f%% (want <= 5%%)",
-			stream, exact, rel*100)
-	}
-}
-
-// TestStreamingP95SmallSample pins the exact fallback below five
-// observations.
-func TestStreamingP95SmallSample(t *testing.T) {
-	c := NewCollector("svc", 1.0)
-	if !math.IsNaN(c.StreamingP95()) {
-		t.Errorf("StreamingP95 on empty collector = %v, want NaN", c.StreamingP95())
-	}
-	c.Observe(record(0.2))
-	c.Observe(record(0.1))
-	if got := c.StreamingP95(); got != 0.2 {
-		t.Errorf("StreamingP95 with 2 observations = %v, want 0.2", got)
-	}
-	// The fallback is nearest-rank, so it brackets the interpolated
-	// exact quantile but need not equal it; it must stay within the
-	// observed range.
-	if got := c.StreamingP95(); got < 0.1 || got > 0.2 {
-		t.Errorf("StreamingP95 %v outside observed range [0.1, 0.2]", got)
-	}
 }
 
 // TestWindowP95PerWindow checks that each closed window carries its own

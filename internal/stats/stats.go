@@ -135,20 +135,24 @@ func (s *Sample) FractionBelow(x float64) float64 {
 	return float64(idx) / float64(len(s.data))
 }
 
-// CDF returns (x, F(x)) pairs evaluated at n evenly spaced points between
-// min and max, suitable for plotting Fig. 10-style curves.
-func (s *Sample) CDF(n int) (xs, fs []float64) {
+// CDF returns (x, F(x)) pairs of the observations divided by div,
+// evaluated at n evenly spaced points between their min and max —
+// Fig. 10-style curves of latency/QoS target without a second sample.
+// Division by div > 0 is monotone, so F counts exactly the observations
+// v with v/div <= x.
+func (s *Sample) CDF(n int, div float64) (xs, fs []float64) {
 	if len(s.data) == 0 || n < 2 {
 		return nil, nil
 	}
 	s.ensureSorted()
-	lo, hi := s.data[0], s.data[len(s.data)-1]
+	lo, hi := s.data[0]/div, s.data[len(s.data)-1]/div
 	xs = make([]float64, n)
 	fs = make([]float64, n)
 	for i := 0; i < n; i++ {
 		x := lo + (hi-lo)*float64(i)/float64(n-1)
 		xs[i] = x
-		fs[i] = s.FractionBelow(x)
+		idx := sort.Search(len(s.data), func(j int) bool { return s.data[j]/div > x })
+		fs[i] = float64(idx) / float64(len(s.data))
 	}
 	return xs, fs
 }

@@ -81,7 +81,7 @@ func TestSampleCDFMonotone(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		s.Add(math.Sin(float64(i)) * 10)
 	}
-	xs, fs := s.CDF(50)
+	xs, fs := s.CDF(50, 1)
 	if len(xs) != 50 || len(fs) != 50 {
 		t.Fatalf("CDF lengths %d/%d", len(xs), len(fs))
 	}
